@@ -2,7 +2,8 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the
  * partitioned-L2 access path, the duplicate tag array, the
- * stack-distance sampler, and the LAC admission test — the hot paths
+ * stack-distance sampler, the access generator (per-access and
+ * per-job construction), and the LAC admission test — the hot paths
  * of the simulator and framework.
  */
 
@@ -86,6 +87,24 @@ BM_GeneratorRun(benchmark::State &state)
     state.SetLabel("items = instructions");
 }
 BENCHMARK(BM_GeneratorRun);
+
+void
+BM_GeneratorConstruct(benchmark::State &state, const char *name)
+{
+    // Per-accepted-job set-up: the right-sized, pre-warmed stack.
+    const auto &b = BenchmarkRegistry::get(name);
+    std::uint64_t seed = 5;
+    for (auto _ : state) {
+        AccessGenerator gen(b, seed++, 0);
+        benchmark::DoNotOptimize(gen.rate());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.SetLabel("items = generators");
+}
+BENCHMARK_CAPTURE(BM_GeneratorConstruct, bzip2, "bzip2");
+BENCHMARK_CAPTURE(BM_GeneratorConstruct, hmmer, "hmmer");
+BENCHMARK_CAPTURE(BM_GeneratorConstruct, gobmk, "gobmk");
+BENCHMARK_CAPTURE(BM_GeneratorConstruct, mcf, "mcf");
 
 void
 BM_LacAdmissionTest(benchmark::State &state)

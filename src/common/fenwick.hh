@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "logging.hh"
@@ -31,6 +32,22 @@ class FenwickTree
     {
     }
 
+    /**
+     * Build a tree of @p size slots holding 1 in [0, @p n) and 0
+     * elsewhere, in the storage of @p reuse. Only its capacity is
+     * reused: the contents are overwritten.
+     */
+    FenwickTree(std::size_t size, std::size_t n,
+                std::vector<std::int64_t> &&reuse)
+        : tree_(std::move(reuse)), total_(0)
+    {
+        tree_.resize(size + 1);
+        fillPrefix(n);
+    }
+
+    /** Hand the storage out for reuse; the tree is unusable after. */
+    std::vector<std::int64_t> takeStorage() { return std::move(tree_); }
+
     /** Number of addressable slots. */
     std::size_t size() const { return tree_.size() - 1; }
 
@@ -45,6 +62,25 @@ class FenwickTree
         total_ += delta;
         for (std::size_t i = idx + 1; i < tree_.size(); i += i & (~i + 1))
             tree_[i] += delta;
+    }
+
+    /**
+     * Reset every slot: [0, @p n) to 1 and the rest to 0. O(size),
+     * against O(n log size) for n add() calls on a cleared tree.
+     */
+    void
+    fillPrefix(std::size_t n)
+    {
+        cmpqos_assert(n <= size(), "fenwick prefix %zu exceeds size %zu",
+                      n, size());
+        // Node i (1-based) sums the slots [i - lowbit(i), i).
+        for (std::size_t i = 1; i < tree_.size(); ++i) {
+            const std::size_t lo = i - (i & (~i + 1));
+            tree_[i] = n > lo ? static_cast<std::int64_t>(
+                                    (i < n ? i : n) - lo)
+                              : 0;
+        }
+        total_ = static_cast<std::int64_t>(n);
     }
 
     /** Prefix sum of slots [0, idx] (0-based, inclusive). */

@@ -325,6 +325,7 @@ QosFramework::removeJob(Job *job, JobState final_state,
             // Record where it stopped for wall-clock accounting.
             job->exec()->endCycle = static_cast<double>(sim_.now());
         }
+        job->exec()->releaseGenerator();
     }
     if (config_.policy != SystemPolicy::EqualPart) {
         if (job->mode().mode == ExecutionMode::Elastic)
@@ -399,6 +400,7 @@ QosFramework::onCompletion(JobExecution *exec)
     cmpqos_assert(it != byId_.end(), "completion for unknown job %d",
                   exec->id());
     Job *job = it->second;
+    exec->releaseGenerator();
 
     if (config_.policy == SystemPolicy::EqualPart) {
         job->setState(JobState::Completed);
@@ -431,6 +433,15 @@ QosFramework::onCompletion(JobExecution *exec)
         if (completedAccepted_ == spec_->jobs.size())
             sim_.requestStop();
     }
+}
+
+std::size_t
+QosFramework::liveGenerators() const
+{
+    return static_cast<std::size_t>(std::count_if(
+        jobs_.begin(), jobs_.end(), [](const std::unique_ptr<Job> &j) {
+            return j->exec() != nullptr && j->exec()->hasGenerator();
+        }));
 }
 
 bool

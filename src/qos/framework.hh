@@ -229,6 +229,10 @@ class QosFramework
 
     const std::vector<std::unique_ptr<Job>> &jobs() const { return jobs_; }
 
+    /** Jobs still holding an access generator: placed, not finished.
+     *  A finished job keeps its outcome record but not its generator. */
+    std::size_t liveGenerators() const;
+
     const FrameworkConfig &config() const { return config_; }
 
     /**

@@ -7,7 +7,7 @@ JobExecution::JobExecution(JobId id, const BenchmarkProfile &profile,
                            InstCount length, std::uint64_t seed,
                            TraceMode mode)
     : id_(id), profile_(&profile), length_(length),
-      generator_(profile, seed, jobAddressBase(id), mode)
+      generator_(std::in_place, profile, seed, jobAddressBase(id), mode)
 {
 }
 

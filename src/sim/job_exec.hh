@@ -9,8 +9,10 @@
 #define CMPQOS_SIM_JOB_EXEC_HH
 
 #include <memory>
+#include <optional>
 
 #include "cache/duplicate_tags.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "cpu/cpi_model.hh"
 #include "workload/benchmark.hh"
@@ -32,7 +34,23 @@ class JobExecution
 
     JobId id() const { return id_; }
     const BenchmarkProfile &profile() const { return *profile_; }
-    AccessGenerator &generator() { return generator_; }
+    AccessGenerator &
+    generator()
+    {
+        cmpqos_assert(generator_.has_value(),
+                      "job %d's generator was released", id_);
+        return *generator_;
+    }
+
+    /** Whether the job still holds its access generator. */
+    bool hasGenerator() const { return generator_.has_value(); }
+
+    /**
+     * Free the access generator (its reuse stack is most of the job's
+     * memory) once the job will never run again. Every outcome field
+     * and accessor below stays valid; generator() asserts.
+     */
+    void releaseGenerator() { generator_.reset(); }
 
     InstCount length() const { return length_; }
     InstCount executed() const { return executed_; }
@@ -103,7 +121,7 @@ class JobExecution
     const BenchmarkProfile *profile_;
     InstCount length_;
     InstCount executed_ = 0;
-    AccessGenerator generator_;
+    std::optional<AccessGenerator> generator_;
     std::unique_ptr<DuplicateTagArray> dupTags_;
 };
 

@@ -1,5 +1,7 @@
 #include "generator.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace cmpqos
@@ -32,32 +34,38 @@ jobAddressBase(JobId job)
     return static_cast<Addr>(job + 1) << 34;
 }
 
+std::size_t
+samplerCapacity(const StackDistanceProfile &stream)
+{
+    for (const auto &c : stream.components())
+        if (c.kind == ProfileComponent::Kind::Geometric)
+            return LruStackSampler::defaultMaxLive;
+    return static_cast<std::size_t>(
+        std::max<std::uint64_t>(2, stream.maxFiniteDistance()));
+}
+
 AccessGenerator::AccessGenerator(const BenchmarkProfile &profile,
                                  std::uint64_t seed, Addr address_base,
                                  TraceMode mode, unsigned block_size)
     : profile_(&profile), mode_(mode), addressBase_(address_base),
-      blockSize_(block_size), rng_(seed)
+      blockSize_(block_size), rng_(seed),
+      streamProfile_(mode == TraceMode::L2Stream
+                         ? profile.l2Profile
+                         : buildFullStreamProfile(profile)),
+      rate_(mode == TraceMode::L2Stream ? profile.h2
+                                        : profile.memRefsPerInstr),
+      // Pre-populate the reuse stack with the benchmark's standing
+      // working set. The paper skips each benchmark's initialisation
+      // phase and simulates a post-init window (Section 6); starting
+      // with an established working set models exactly that. Without
+      // it, mid-range reuse distances would read as cold misses for
+      // an artificially long start-up phase. (The *cache* still
+      // starts cold — first touches miss — which is the physical
+      // warm-up the wall-clock model accounts for.)
+      stack_(samplerCapacity(streamProfile_),
+             streamProfile_.maxFiniteDistance())
 {
-    if (mode == TraceMode::L2Stream) {
-        streamProfile_ = profile.l2Profile;
-        rate_ = profile.h2;
-    } else {
-        streamProfile_ = buildFullStreamProfile(profile);
-        rate_ = profile.memRefsPerInstr;
-    }
     cmpqos_assert(rate_ > 0.0, "access rate must be positive");
-
-    // Pre-populate the reuse stack with the benchmark's standing
-    // working set. The paper skips each benchmark's initialisation
-    // phase and simulates a post-init window (Section 6); starting
-    // with an established working set models exactly that. Without
-    // it, mid-range reuse distances would read as cold misses for an
-    // artificially long start-up phase. (The *cache* still starts
-    // cold — first touches miss — which is the physical warm-up the
-    // wall-clock model accounts for.)
-    const std::uint64_t warm = streamProfile_.maxFiniteDistance();
-    for (std::uint64_t i = 0; i < warm; ++i)
-        stack_.accessNew();
 }
 
 } // namespace cmpqos

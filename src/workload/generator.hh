@@ -113,9 +113,10 @@ class AccessGenerator
     Addr addressBase_;
     unsigned blockSize_;
     Rng rng_;
-    LruStackSampler stack_;
+    // streamProfile_ precedes stack_: it sets the stack's cap and depth.
     StackDistanceProfile streamProfile_;
     double rate_;
+    LruStackSampler stack_;
     double accum_ = 0.0;
     std::uint64_t emitted_ = 0;
 };
@@ -126,6 +127,16 @@ class AccessGenerator
  * plus a tight geometric component standing in for L1-resident reuse.
  */
 StackDistanceProfile buildFullStreamProfile(const BenchmarkProfile &profile);
+
+/**
+ * Live-block cap of the sampler that replays @p stream: the deepest
+ * distance the stream can draw (at least 2) when every component is
+ * Uniform or Cold, and LruStackSampler::defaultMaxLive when any is
+ * Geometric (those draws are unbounded). No draw can reach a block
+ * below the cap, so the emitted block stream equals that of an
+ * uncapped stack.
+ */
+std::size_t samplerCapacity(const StackDistanceProfile &stream);
 
 /** Well-separated address base for a job (disjoint address spaces). */
 Addr jobAddressBase(JobId job);

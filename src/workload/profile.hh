@@ -124,7 +124,13 @@ class StackDistanceProfile
 
     bool empty() const { return components_.empty(); }
 
-    /** Largest finite distance any component can produce. */
+    /**
+     * Depth of the standing working set: the largest Uniform upper
+     * bound, or 8 x mean for a Geometric component. The latter is not
+     * a bound (geometric draws are unbounded, and exceed 8 x mean
+     * with probability ~e^-8), so this is the deepest distance the
+     * profile can draw only when it has no Geometric component.
+     */
     std::uint64_t maxFiniteDistance() const;
 
   private:

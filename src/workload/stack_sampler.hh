@@ -32,20 +32,40 @@ namespace cmpqos
 /**
  * LRU stack with order-statistics access.
  *
- * Block ids are dense, assigned on first touch, and recycled from the
- * coldest end once the live-block cap is hit (the victim is the LRU
- * block, which by construction is the least likely to be re-referenced).
+ * Block ids are dense and assigned on first touch. Once the live-block
+ * cap is hit, each new block drops the coldest one from the stack (the
+ * LRU block, which by construction is the least likely to be
+ * re-referenced); its id is never reused.
  */
 class LruStackSampler
 {
   public:
+    /** Live-block cap of a default-constructed sampler. */
+    static constexpr std::size_t defaultMaxLive = std::size_t{1} << 17;
+
     /**
      * @param max_live_blocks cap on tracked blocks; beyond this the
-     *        LRU block is dropped from the stack. Choose larger than
-     *        any cache capacity of interest (default 2^17 blocks =
-     *        8MB of 64B blocks, 4x the paper's L2).
+     *        LRU block is dropped from the stack and can never be
+     *        re-referenced. A stream whose distances never exceed the
+     *        cap behaves exactly as on an unbounded stack, so size it
+     *        to the deepest distance the stream can draw (see
+     *        samplerCapacity() in generator.hh). Memory is ~64 bytes
+     *        per block: 4x slot headroom, 16 bytes per slot, taken
+     *        from arrays earlier samplers gave back when one fits.
+     * @param warm_blocks start as if accessNew() had been called this
+     *        many times (blocks 0..warm_blocks-1, the last one MRU),
+     *        built in O(slots) rather than O(warm_blocks log slots).
      */
-    explicit LruStackSampler(std::size_t max_live_blocks = 1u << 17);
+    explicit LruStackSampler(std::size_t max_live_blocks = defaultMaxLive,
+                             std::uint64_t warm_blocks = 0);
+
+    /** Returns the slot arrays to a process-wide pool, from which the
+     *  next sampler built takes them (see stack_sampler.cc). */
+    ~LruStackSampler();
+    LruStackSampler(const LruStackSampler &) = default;
+    LruStackSampler(LruStackSampler &&) = default;
+    LruStackSampler &operator=(const LruStackSampler &) = default;
+    LruStackSampler &operator=(LruStackSampler &&) = default;
 
     /**
      * Access the block at stack distance @p d (1 = most recently
@@ -80,12 +100,10 @@ class LruStackSampler
     void
     forEachLive(F &&visit) const
     {
-        for (std::int64_t k = 1;
-             k <= static_cast<std::int64_t>(liveCount_); ++k) {
-            const std::size_t slot =
-                static_cast<std::size_t>(occupied_.findKth(k));
-            visit(slotBlock_[slot]);
-        }
+        // Live blocks occupy slots in recency order.
+        for (std::size_t slot = 0; slot < nextSlot_; ++slot)
+            if (slotBlock_[slot] != vacant)
+                visit(slotBlock_[slot]);
     }
 
   private:
@@ -100,16 +118,14 @@ class LruStackSampler
 
     std::size_t maxLive_;
     std::size_t slotCapacity_;
+    std::size_t liveCount_;
+    std::size_t nextSlot_;
+    std::uint64_t nextBlockId_;
     FenwickTree occupied_;
-    /** slot -> block id (valid where occupied). */
+    /** slot -> block id; `vacant` where the slot is unoccupied. */
     std::vector<std::uint64_t> slotBlock_;
-    /** block id -> slot (dense vector; kMaxSlot = not live). */
-    std::vector<std::uint64_t> blockSlot_;
-    std::size_t nextSlot_ = 0;
-    std::size_t liveCount_ = 0;
-    std::uint64_t nextBlockId_ = 0;
 
-    static constexpr std::uint64_t noSlot = ~0ULL;
+    static constexpr std::uint64_t vacant = ~0ULL;
 };
 
 } // namespace cmpqos

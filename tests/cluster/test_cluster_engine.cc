@@ -153,6 +153,43 @@ TEST(ClusterEngine, NegotiationRecoversOverloadArrivals)
     EXPECT_GT(with.accepted, without.accepted);
 }
 
+TEST(ClusterEngine, FinishedJobsReleaseTheirGenerators)
+{
+    // One long epoch: every job that finishes drops its generator
+    // (and its reuse stack) while the node lives on; only the outcome
+    // record stays. Mid-run, exactly the in-flight jobs hold one.
+    ClusterEngine engine(fastCluster(4, 2));
+    PoissonArrivalProcess arrivals(60'000.0, fastMix(), 31, 80);
+    const ClusterMetrics mid = engine.runForDuration(arrivals, 4'000'000);
+    std::size_t live = 0;
+    std::uint64_t in_flight = 0;
+    for (int n = 0; n < engine.numNodes(); ++n)
+        live += engine.node(n).framework().liveGenerators();
+    for (const NodeMetrics &n : mid.nodes)
+        in_flight += n.inFlight;
+    EXPECT_GT(live, 0u);
+    EXPECT_EQ(live, in_flight);
+
+    const ClusterMetrics m = engine.runToCompletion(arrivals);
+    ASSERT_GT(m.completed, 40u);
+    std::uint64_t finished = 0;
+    for (int n = 0; n < engine.numNodes(); ++n) {
+        const QosFramework &fw = engine.node(n).framework();
+        EXPECT_EQ(fw.liveGenerators(), 0u) << "node " << n;
+        for (const auto &job : fw.jobs()) {
+            const JobExecution *exec = job->exec();
+            if (exec == nullptr)
+                continue;
+            ++finished;
+            EXPECT_TRUE(exec->complete());
+            EXPECT_GT(exec->l2Accesses, 0u);
+            EXPECT_GT(exec->cpi(), 0.0);
+            EXPECT_GT(exec->wallClock(), 0.0);
+        }
+    }
+    EXPECT_EQ(finished, m.completed);
+}
+
 TEST(ClusterEngine, NodeSeedsDeriveFromClusterSeed)
 {
     ClusterConfig a = fastCluster(2, 1);

@@ -47,6 +47,7 @@ TEST(Cancellation, CancelWaitingJobFreesSlot)
 
     EXPECT_TRUE(fw.cancelJob(*waiting));
     EXPECT_EQ(waiting->state(), JobState::Terminated);
+    EXPECT_FALSE(waiting->exec()->hasGenerator());
     // Its future slot is gone; a new job lands there instead.
     Job *d = fw.submitJob(request("gobmk", ModeSpec::strict(), 5.0),
                           4'000'000);

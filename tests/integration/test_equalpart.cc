@@ -71,6 +71,23 @@ TEST(EqualPart, PartitionStaysEqualThroughChurn)
     }
 }
 
+TEST(EqualPart, FinishedJobsReleaseTheirGenerators)
+{
+    QosFramework fw(equalPartConfig());
+    for (int i = 0; i < 6; ++i)
+        fw.submitJob(request("hmmer", 8.0), 1'000'000);
+    EXPECT_EQ(fw.liveGenerators(), 6u);
+    fw.runToCompletion();
+    EXPECT_EQ(fw.liveGenerators(), 0u);
+    for (const auto &job : fw.jobs()) {
+        ASSERT_NE(job->exec(), nullptr);
+        EXPECT_EQ(job->state(), JobState::Completed);
+        EXPECT_GT(job->exec()->l2Misses, 0u);
+        EXPECT_GT(job->exec()->missRate(), 0.0);
+        EXPECT_GT(job->exec()->cpi(), 0.0);
+    }
+}
+
 TEST(EqualPart, DeadlineMissesScaleWithTightness)
 {
     // With 2.5 jobs per core, tight (1.05 tw) deadlines miss while

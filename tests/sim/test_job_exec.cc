@@ -27,6 +27,20 @@ TEST(JobExecution, ProgressTracking)
     EXPECT_EQ(j.remaining(), 0u);
 }
 
+TEST(JobExecution, ReleasedGeneratorAsserts)
+{
+    const auto &b = BenchmarkRegistry::get("gobmk");
+    JobExecution j(2, b, 100, 1);
+    EXPECT_TRUE(j.hasGenerator());
+    j.noteExecuted(100);
+    j.l2Accesses = 5;
+    j.releaseGenerator();
+    EXPECT_FALSE(j.hasGenerator());
+    EXPECT_EQ(j.l2Accesses, 5u);
+    EXPECT_TRUE(j.complete());
+    EXPECT_DEATH((void)j.generator(), "released");
+}
+
 TEST(JobExecution, WallClockRequiresStartAndEnd)
 {
     const auto &b = BenchmarkRegistry::get("gobmk");

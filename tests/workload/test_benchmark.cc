@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workload/benchmark.hh"
 
 namespace cmpqos
@@ -56,6 +58,12 @@ struct Table1Row
     double missRate;
     double mpi;
 };
+
+/** Print rows by value so test names do not embed the literal's address. */
+void PrintTo(const Table1Row &row, std::ostream *os)
+{
+    *os << row.name << " (" << row.missRate << ", " << row.mpi << ")";
+}
 
 class Table1Calibration : public ::testing::TestWithParam<Table1Row>
 {
