@@ -117,7 +117,17 @@ StackDistanceProfile::StackDistanceProfile(
 std::optional<std::uint64_t>
 StackDistanceProfile::sample(Rng &rng) const
 {
-    const std::size_t idx = rng.discrete(weights_);
+    // Rng::discrete(weights_), without re-summing and re-checking the
+    // weights: the same floating-point operations in the same order,
+    // so the same index and the same Rng consumption. The running
+    // remainder only falls, so the count of leading non-negative ones
+    // is the first index at which it goes negative (else the last).
+    double target = rng.uniform() * totalWeight_;
+    std::size_t idx = 0;
+    for (std::size_t i = 0; i + 1 < weights_.size(); ++i) {
+        target -= weights_[i];
+        idx += target >= 0.0 ? 1 : 0;
+    }
     const ProfileComponent &c = components_[idx];
     switch (c.kind) {
       case ProfileComponent::Kind::Cold:

@@ -136,6 +136,7 @@ class StackDistanceProfile
   private:
     std::vector<ProfileComponent> components_;
     std::vector<double> weights_;
+    /** Summed from 0.0 in component order, as Rng::discrete sums. */
     double totalWeight_ = 0.0;
 };
 

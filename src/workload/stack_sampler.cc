@@ -23,13 +23,12 @@ namespace
  * every slot it reads, so a recycled array acts exactly like a fresh
  * one.
  */
-template <typename T>
-class ArrayPool
+class SlotArrayPool
 {
   public:
-    /** An array with capacity for @p n elements: the smallest kept
+    /** An array with capacity for @p n block ids: the smallest kept
      *  one that fits, else a new one. Its contents are stale. */
-    std::vector<T>
+    std::vector<std::uint64_t>
     take(std::size_t n)
     {
         {
@@ -41,24 +40,23 @@ class ArrayPool
                      it->capacity() < best->capacity()))
                     best = it;
             if (best != kept_.end()) {
-                std::vector<T> v = std::move(*best);
+                std::vector<std::uint64_t> v = std::move(*best);
                 kept_.erase(best);
-                keptBytes_ -= v.capacity() * sizeof(T);
+                keptBytes_ -= v.capacity() * sizeof(std::uint64_t);
                 return v;
             }
         }
-        // One past a power of two: the tree (slots + 1) and the slot
-        // array (slots) of samplers with similar caps share one size.
-        std::vector<T> v;
-        v.reserve(n < 2 ? n : std::bit_ceil(n - 1) + 1);
+        // A power of two, so samplers with similar caps share a size.
+        std::vector<std::uint64_t> v;
+        v.reserve(std::bit_ceil(n));
         return v;
     }
 
     /** Keep @p v for a later take(), unless the pool is full. */
     void
-    give(std::vector<T> &&v)
+    give(std::vector<std::uint64_t> &&v)
     {
-        const std::size_t bytes = v.capacity() * sizeof(T);
+        const std::size_t bytes = v.capacity() * sizeof(std::uint64_t);
         if (bytes == 0)
             return;
         MutexLock lock(mu_);
@@ -73,22 +71,15 @@ class ArrayPool
     static constexpr std::size_t kMaxKeptBytes = std::size_t{32} << 20;
 
     Mutex mu_;
-    std::vector<std::vector<T>> kept_ CMPQOS_GUARDED_BY(mu_);
+    std::vector<std::vector<std::uint64_t>> kept_ CMPQOS_GUARDED_BY(mu_);
     std::size_t keptBytes_ CMPQOS_GUARDED_BY(mu_) = 0;
 };
 
 // Never destroyed, so a sampler may outlive static destruction.
-ArrayPool<std::int64_t> &
-treePool()
-{
-    static auto *pool = new ArrayPool<std::int64_t>();
-    return *pool;
-}
-
-ArrayPool<std::uint64_t> &
+SlotArrayPool &
 blockPool()
 {
-    static auto *pool = new ArrayPool<std::uint64_t>();
+    static auto *pool = new SlotArrayPool();
     return *pool;
 }
 
@@ -100,11 +91,10 @@ LruStackSampler::LruStackSampler(std::size_t max_live_blocks,
       liveCount_(static_cast<std::size_t>(
           std::min<std::uint64_t>(warm_blocks, max_live_blocks))),
       nextSlot_(liveCount_), nextBlockId_(warm_blocks),
-      occupied_(slotCapacity_, liveCount_,
-                treePool().take(slotCapacity_ + 1)),
-      slotBlock_(blockPool().take(slotCapacity_))
+      occupied_(slotCapacity_), slotBlock_(blockPool().take(slotCapacity_))
 {
     cmpqos_assert(max_live_blocks >= 2, "stack needs at least two blocks");
+    occupied_.fillPrefix(liveCount_);
     slotBlock_.assign(slotCapacity_, vacant);
     // The newest liveCount_ warm blocks, LRU in slot 0; any older ones
     // were dropped by the cap, as accessNew() would have dropped them.
@@ -115,7 +105,6 @@ LruStackSampler::LruStackSampler(std::size_t max_live_blocks,
 
 LruStackSampler::~LruStackSampler()
 {
-    treePool().give(occupied_.takeStorage());
     blockPool().give(std::move(slotBlock_));
 }
 
@@ -125,17 +114,18 @@ LruStackSampler::pushTop(std::uint64_t block)
     if (nextSlot_ >= slotCapacity_)
         compact();
     const std::size_t slot = nextSlot_++;
-    occupied_.add(slot, 1);
+    occupied_.set(slot);
     slotBlock_[slot] = block;
 }
 
 void
 LruStackSampler::dropLru()
 {
-    // LRU block = occupant of the lowest occupied slot (rank 1).
-    const std::size_t slot = static_cast<std::size_t>(occupied_.findKth(1));
-    occupied_.add(slot, -1);
+    // LRU block = occupant of the lowest occupied slot.
+    const std::size_t slot = occupied_.nextOccupied(lowSlot_);
+    occupied_.clear(slot);
     slotBlock_[slot] = vacant;
+    lowSlot_ = slot + 1;
     --liveCount_;
 }
 
@@ -159,15 +149,12 @@ LruStackSampler::accessAtDistance(std::uint64_t d)
 
     // The d-th most recently used = rank (live - d + 1) from the
     // bottom among occupied slots.
-    const std::int64_t rank =
-        static_cast<std::int64_t>(liveCount_ - d + 1);
-    const std::size_t slot =
-        static_cast<std::size_t>(occupied_.findKth(rank));
+    const std::size_t slot = occupied_.select(liveCount_ - d + 1);
     const std::uint64_t block = slotBlock_[slot];
 
     if (d > 1) {
         // Move to top; a d == 1 access is already at the top.
-        occupied_.add(slot, -1);
+        occupied_.clear(slot);
         slotBlock_[slot] = vacant;
         pushTop(block);
     }
@@ -180,11 +167,7 @@ LruStackSampler::peekAtDistance(std::uint64_t d) const
     cmpqos_assert(d >= 1 && d <= liveCount_,
                   "peek distance %llu out of [1,%zu]",
                   static_cast<unsigned long long>(d), liveCount_);
-    const std::int64_t rank =
-        static_cast<std::int64_t>(liveCount_ - d + 1);
-    const std::size_t slot =
-        static_cast<std::size_t>(occupied_.findKth(rank));
-    return slotBlock_[slot];
+    return slotBlock_[occupied_.select(liveCount_ - d + 1)];
 }
 
 void
@@ -197,14 +180,15 @@ LruStackSampler::compact()
     for (std::size_t slot = 0; slot < nextSlot_; ++slot)
         if (slotBlock_[slot] != vacant)
             slotBlock_[n++] = slotBlock_[slot];
-    cmpqos_assert(static_cast<std::int64_t>(n) == occupied_.total(),
-                  "compaction found %zu blocks, tree holds %lld", n,
-                  static_cast<long long>(occupied_.total()));
+    cmpqos_assert(n == occupied_.count(),
+                  "compaction found %zu blocks, index holds %zu", n,
+                  occupied_.count());
     std::fill(slotBlock_.begin() + static_cast<std::ptrdiff_t>(n),
               slotBlock_.begin() + static_cast<std::ptrdiff_t>(nextSlot_),
               vacant);
     occupied_.fillPrefix(n);
     nextSlot_ = n;
+    lowSlot_ = 0;
 }
 
 } // namespace cmpqos

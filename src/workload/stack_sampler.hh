@@ -12,9 +12,12 @@
  * exactly where it matters, while exercising the real cache models.
  *
  * Implementation: live blocks occupy slots of a timestamp-ordered
- * array; a Fenwick tree counts occupied slots so "the d-th
- * most-recently-used block" is an order-statistics query. Slots are
- * compacted when the timestamp space is exhausted.
+ * array, and an OccupancyIndex (a bitmap plus a count tree over its
+ * words, occupancy_index.hh) marks the occupied ones, so "the d-th
+ * most-recently-used block" is a branch-free rank query. The LRU
+ * block, dropped on every cold access at the cap, is found by a
+ * forward bitmap scan from a cursor below which every slot is
+ * vacant. Slots are compacted when the timestamp space is exhausted.
  */
 
 #ifndef CMPQOS_WORKLOAD_STACK_SAMPLER_HH
@@ -23,8 +26,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/fenwick.hh"
 #include "common/types.hh"
+#include "workload/occupancy_index.hh"
 
 namespace cmpqos
 {
@@ -49,9 +52,10 @@ class LruStackSampler
      *        re-referenced. A stream whose distances never exceed the
      *        cap behaves exactly as on an unbounded stack, so size it
      *        to the deepest distance the stream can draw (see
-     *        samplerCapacity() in generator.hh). Memory is ~64 bytes
-     *        per block: 4x slot headroom, 16 bytes per slot, taken
-     *        from arrays earlier samplers gave back when one fits.
+     *        samplerCapacity() in generator.hh). Memory is ~33 bytes
+     *        per block: 4x slot headroom, a block id (taken from
+     *        arrays earlier samplers gave back when one fits) and an
+     *        occupancy bit per slot, and a count per 64 slots.
      * @param warm_blocks start as if accessNew() had been called this
      *        many times (blocks 0..warm_blocks-1, the last one MRU),
      *        built in O(slots) rather than O(warm_blocks log slots).
@@ -59,8 +63,8 @@ class LruStackSampler
     explicit LruStackSampler(std::size_t max_live_blocks = defaultMaxLive,
                              std::uint64_t warm_blocks = 0);
 
-    /** Returns the slot arrays to a process-wide pool, from which the
-     *  next sampler built takes them (see stack_sampler.cc). */
+    /** Returns the slot array to a process-wide pool, from which the
+     *  next sampler built takes it (see stack_sampler.cc). */
     ~LruStackSampler();
     LruStackSampler(const LruStackSampler &) = default;
     LruStackSampler(LruStackSampler &&) = default;
@@ -120,8 +124,10 @@ class LruStackSampler
     std::size_t slotCapacity_;
     std::size_t liveCount_;
     std::size_t nextSlot_;
+    /** Every slot below lowSlot_ is vacant. */
+    std::size_t lowSlot_ = 0;
     std::uint64_t nextBlockId_;
-    FenwickTree occupied_;
+    OccupancyIndex occupied_;
     /** slot -> block id; `vacant` where the slot is unoccupied. */
     std::vector<std::uint64_t> slotBlock_;
 

@@ -25,6 +25,12 @@ struct SweepCase
     std::uint64_t seed;
 };
 
+/** Print cases by value so test names do not embed the literal's address. */
+void PrintTo(const SweepCase &c, std::ostream *os)
+{
+    *os << modeConfigName(c.config) << ' ' << c.bench << " seed " << c.seed;
+}
+
 std::string
 caseName(const ::testing::TestParamInfo<SweepCase> &info)
 {

@@ -43,9 +43,15 @@ measureMissRate(const std::string &name, unsigned ways,
     return l2.coreStats(0).missRate();
 }
 
+/**
+ * The name is held in the struct, not pointed to, so the byte dump
+ * gtest prints for the parameter in each test's ctest name is the same
+ * in every build and run (a pointer's bytes change with the load
+ * address).
+ */
 struct CalibrationCase
 {
-    const char *name;
+    char name[12];
     unsigned ways;
 };
 

@@ -3,22 +3,25 @@
  * Differential tests (ctest label "diff") for the right-sized reuse
  * stack: every generator's sampler is capped at the deepest distance
  * its stream can draw and built warm in O(slots), and must emit
- * exactly what an uncapped stack warmed one accessNew() at a time
- * emits. Also checks the Fenwick prefix builder against add() loops
- * and a capped sampler's compaction against a naive list model, also
- * in slot arrays recycled from earlier samplers.
+ * exactly what the frozen reference (reference_sampler.hh: an
+ * uncapped Fenwick-tree stack warmed one accessNew() at a time,
+ * drawing through Rng::discrete) emits. Also checks the reference's
+ * Fenwick prefix builder against add() loops and a capped sampler's
+ * compaction against a naive move-to-front model, at caps whose slot
+ * counts do and do not fill whole bitmap words, also in slot arrays
+ * recycled from earlier samplers.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <list>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "common/fenwick.hh"
 #include "common/random.hh"
+#include "fenwick.hh"
+#include "reference_sampler.hh"
 #include "workload/generator.hh"
 #include "workload/stack_sampler.hh"
 
@@ -32,8 +35,9 @@ constexpr std::uint64_t kSeeds[] = {1, 0x5EEDF00Dull};
 
 /**
  * The generator as it was built before right-sizing: a default
- * (2^17-block) stack warmed with one accessNew() per standing block,
- * drawing from the Rng in the generator's order.
+ * (2^17-block) Fenwick-tree stack warmed with one accessNew() per
+ * standing block, drawing through Rng::discrete in the generator's
+ * order.
  */
 class ReferenceGenerator
 {
@@ -43,7 +47,8 @@ class ReferenceGenerator
         : profile_(profile), base_(base), rng_(seed),
           stream_(mode == TraceMode::L2Stream
                       ? profile.l2Profile
-                      : buildFullStreamProfile(profile))
+                      : buildFullStreamProfile(profile)),
+          draw_(stream_)
     {
         for (std::uint64_t i = 0; i < stream_.maxFiniteDistance(); ++i)
             stack_.accessNew();
@@ -52,7 +57,7 @@ class ReferenceGenerator
     std::pair<Addr, bool>
     next()
     {
-        const auto d = stream_.sample(rng_);
+        const auto d = draw_(rng_);
         const std::uint64_t block =
             d ? stack_.accessAtDistance(*d) : stack_.accessNew();
         const bool is_write = rng_.bernoulli(profile_.writeFraction);
@@ -75,7 +80,8 @@ class ReferenceGenerator
     Addr base_;
     Rng rng_;
     StackDistanceProfile stream_;
-    LruStackSampler stack_;
+    ReferenceDraw draw_;
+    ReferenceStackSampler stack_;
 };
 
 std::vector<Addr>
@@ -211,7 +217,7 @@ TEST(SamplerWarmBuild, MatchesAccessNewLoop)
         SCOPED_TRACE("cap " + std::to_string(cap) + " warm " +
                      std::to_string(warm));
         LruStackSampler built(cap, warm);
-        LruStackSampler looped(cap);
+        ReferenceStackSampler looped(cap);
         for (std::uint64_t i = 0; i < warm; ++i)
             looped.accessNew();
         EXPECT_EQ(built.liveBlocks(), looped.liveBlocks());
@@ -227,46 +233,84 @@ TEST(SamplerWarmBuild, MatchesAccessNewLoop)
 }
 
 /**
+ * Naive model of a capped LRU stack: a vector of block ids, LRU first,
+ * searched and shifted in O(live) per access.
+ */
+class MoveToFrontStack
+{
+  public:
+    /** Built as LruStackSampler(cap, cap) is: blocks 0..cap-1. */
+    explicit MoveToFrontStack(std::size_t cap) : cap_(cap), nextId_(cap)
+    {
+        for (std::uint64_t b = 0; b < cap; ++b)
+            stack_.push_back(b);
+    }
+
+    std::uint64_t
+    accessNew()
+    {
+        stack_.push_back(nextId_);
+        if (stack_.size() > cap_)
+            stack_.erase(stack_.begin());
+        return nextId_++;
+    }
+
+    std::uint64_t
+    accessAtDistance(std::uint64_t d)
+    {
+        if (d > stack_.size())
+            return accessNew();
+        const auto it = stack_.end() - static_cast<std::ptrdiff_t>(d);
+        const std::uint64_t block = *it;
+        stack_.erase(it);
+        stack_.push_back(block);
+        return block;
+    }
+
+    /** Live blocks, LRU first. */
+    const std::vector<std::uint64_t> &live() const { return stack_; }
+
+  private:
+    std::size_t cap_;
+    std::uint64_t nextId_;
+    std::vector<std::uint64_t> stack_;
+};
+
+std::vector<std::uint64_t>
+liveBlocks(const LruStackSampler &s)
+{
+    std::vector<std::uint64_t> live;
+    s.forEachLive([&](std::uint64_t b) { live.push_back(b); });
+    return live;
+}
+
+/**
  * Drive a sampler of cap @p cap, built warm with @p cap blocks, through
  * @p steps accesses (moves, cold touches and cap drops interleaved)
- * against a naive move-to-front list.
+ * against the naive move-to-front model.
  */
 void
 checkAgainstNaiveList(std::size_t cap, std::uint64_t seed, int steps)
 {
+    SCOPED_TRACE("cap " + std::to_string(cap));
     LruStackSampler s(cap, cap);
-    std::list<std::uint64_t> naive; // front = MRU
-    for (std::uint64_t b = 0; b < cap; ++b)
-        naive.push_front(b);
-    std::uint64_t next_id = cap;
+    MoveToFrontStack naive(cap);
     Rng rng(seed);
     for (int i = 0; i < steps; ++i) {
-        std::uint64_t expect;
         const bool cold = rng.uniformInt(8) == 0;
         const std::uint64_t d = 1 + rng.uniformInt(cap + 10);
-        if (cold || d > naive.size()) {
-            expect = next_id++;
-            naive.push_front(expect);
-            if (naive.size() > cap)
-                naive.pop_back();
-            ASSERT_EQ(cold ? s.accessNew() : s.accessAtDistance(d), expect)
-                << "iteration " << i;
+        if (cold) {
+            ASSERT_EQ(s.accessNew(), naive.accessNew()) << "iteration " << i;
         } else {
-            auto it = naive.begin();
-            std::advance(it, static_cast<long>(d - 1));
-            expect = *it;
-            naive.erase(it);
-            naive.push_front(expect);
-            ASSERT_EQ(s.accessAtDistance(d), expect) << "iteration " << i;
+            ASSERT_EQ(s.accessAtDistance(d), naive.accessAtDistance(d))
+                << "iteration " << i << " distance " << d;
         }
-        ASSERT_EQ(s.liveBlocks(), naive.size());
+        ASSERT_EQ(s.liveBlocks(), naive.live().size());
         if (i % 997 == 0) {
-            std::vector<std::uint64_t> live;
-            s.forEachLive([&](std::uint64_t b) { live.push_back(b); });
-            ASSERT_EQ(live, std::vector<std::uint64_t>(naive.rbegin(),
-                                                       naive.rend()));
+            ASSERT_EQ(liveBlocks(s), naive.live()) << "iteration " << i;
         }
     }
+    ASSERT_EQ(liveBlocks(s), naive.live());
 }
 
 TEST(SamplerCompaction, CappedStackMatchesNaiveList)
@@ -276,6 +320,68 @@ TEST(SamplerCompaction, CappedStackMatchesNaiveList)
     checkAgainstNaiveList(50, 2024, 50'000);
 }
 
+TEST(SamplerCompaction, EdgeCapsMatchNaiveList)
+{
+    // Caps whose 4x slot counts fill one bitmap word or less (2, 3,
+    // 16), end on a word boundary (64, 12800) or one either side of
+    // it (17, 63, 65, 500), so the count tree has a single leaf or
+    // padding leaves. Eight accesses per block compact each stack at
+    // least twice.
+    std::uint64_t seed = 31;
+    for (const std::size_t cap : {2, 3, 16, 17, 63, 64, 65, 500, 12'800})
+        checkAgainstNaiveList(cap, seed++,
+                              static_cast<int>(std::max<std::size_t>(
+                                  5'000, 8 * cap)));
+}
+
+TEST(SamplerCompaction, DropLruRightAfterCompaction)
+{
+    // A 4-block stack has 16 slots, and each distance-4 access moves
+    // the LRU block to the next one, so the 13th such access compacts.
+    // After 13 or 14 moves the first cold access drops the LRU block
+    // from a freshly compacted stack; after 12 it compacts between
+    // its drop and its push. Later cold accesses repeat both cases.
+    for (const int moves : {12, 13, 14}) {
+        SCOPED_TRACE("moves " + std::to_string(moves));
+        LruStackSampler s(4, 4);
+        MoveToFrontStack naive(4);
+        for (int i = 0; i < moves; ++i)
+            ASSERT_EQ(s.accessAtDistance(4), naive.accessAtDistance(4));
+        for (int i = 0; i < 40; ++i) {
+            ASSERT_EQ(s.accessNew(), naive.accessNew()) << "cold " << i;
+            ASSERT_EQ(liveBlocks(s), naive.live()) << "cold " << i;
+            if (i % 5 == 4) {
+                ASSERT_EQ(s.accessAtDistance(3), naive.accessAtDistance(3));
+            }
+        }
+    }
+}
+
+TEST(SamplerCompaction, PeekMatchesNaiveAtEveryDistance)
+{
+    // peekAtDistance is a rank query over the whole stack, so every
+    // distance visits every word boundary, full word and (once moves
+    // leave holes) empty word of the bitmap.
+    for (const std::size_t cap : {3, 17, 64, 65, 130}) {
+        SCOPED_TRACE("cap " + std::to_string(cap));
+        LruStackSampler s(cap, cap);
+        MoveToFrontStack naive(cap);
+        Rng rng(cap);
+        for (int round = 0; round < 12; ++round) {
+            const std::vector<std::uint64_t> &live = naive.live();
+            for (std::uint64_t d = 1; d <= live.size(); ++d)
+                ASSERT_EQ(s.peekAtDistance(d), live[live.size() - d])
+                    << "round " << round << " distance " << d;
+            // Move a run of deep blocks up, leaving whole words empty.
+            for (std::size_t i = 0; i < cap; ++i) {
+                const std::uint64_t d =
+                    i % 2 ? cap : 1 + rng.uniformInt(cap);
+                ASSERT_EQ(s.accessAtDistance(d), naive.accessAtDistance(d));
+            }
+        }
+    }
+}
+
 TEST(SamplerCompaction, RecycledSlotArraysActFresh)
 {
     // Each sampler takes the slot arrays its predecessor left dirty
@@ -283,6 +389,15 @@ TEST(SamplerCompaction, RecycledSlotArraysActFresh)
     // show up as a divergence from the list model.
     std::uint64_t seed = 7;
     for (const std::size_t cap : {64, 50, 64, 40, 50, 2, 64})
+        checkAgainstNaiveList(cap, seed++, 5'000);
+}
+
+TEST(SamplerCompaction, RecycledSlotArraysAtEdgeCaps)
+{
+    // Samplers built, one after another, in the dirty slot arrays of
+    // larger and smaller predecessors at the edge caps.
+    std::uint64_t seed = 101;
+    for (const std::size_t cap : {500, 65, 17, 64, 3, 63, 16, 500, 2, 65})
         checkAgainstNaiveList(cap, seed++, 5'000);
 }
 
